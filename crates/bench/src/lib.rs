@@ -307,7 +307,7 @@ pub fn iwp_ablation() -> String {
 }
 
 /// The known top-level sections of `BENCH_runtime.json`, in emission order.
-const BENCH_JSON_SECTIONS: [&str; 7] = [
+const BENCH_JSON_SECTIONS: [&str; 8] = [
     "runtime_scalability",
     "cluster_scalability",
     "parallel_cluster",
@@ -315,6 +315,7 @@ const BENCH_JSON_SECTIONS: [&str; 7] = [
     "fault_recovery",
     "dag_pipeline",
     "profile",
+    "simulator",
 ];
 
 /// Why [`splice_bench_json`] refused to produce a combined document.

@@ -66,7 +66,7 @@ use std::thread;
 
 use overlay_arch::{FuVariant, ReconfigModel, TileComposition};
 use overlay_frontend::LowerOptions;
-use overlay_sim::{OverlaySimulator, SimError, SimRun};
+use overlay_sim::{SimError, SimRun};
 
 use crate::cache::CacheStats;
 use crate::control::{Batcher, Replicator};
@@ -86,10 +86,10 @@ use crate::session::{
     PipelineOutcome, PipelineReport, PipelineRequest, ReorderBuffer, Session, SloClass,
 };
 use crate::{
-    prepare_request, record_request_spans, BatchConfig, DispatchPolicy, DispatchRequest,
-    Dispatcher, InFlight, Ingest, KernelCache, KernelKey, PrepContext, RejectedRequest,
-    ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, SimJob, SimMemo, SimResults,
-    SimSourced, Submitter, TilePool,
+    prepare_request, record_request_spans, spawn_sim_workers, BatchConfig, DispatchPolicy,
+    DispatchRequest, Dispatcher, InFlight, Ingest, KernelCache, KernelKey, PrepContext,
+    RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, SimJob,
+    SimMemo, SimResults, SimSourced, Submitter, TilePool,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -1839,19 +1839,7 @@ impl Cluster {
             if let Some((feed, ingest_tx)) = feed {
                 scope.spawn(move || feed(Submitter::new(ingest_tx)));
             }
-            for job_rx in job_rxs {
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
-                    while let Ok(job) = job_rx.recv() {
-                        let run = simulator.run(&job.compiled, &job.request.workload);
-                        if result_tx.send((job.index, run)).is_err() {
-                            break; // loop is gone (it failed); stop working
-                        }
-                    }
-                });
-            }
-            drop(result_tx); // workers hold the clones that matter
+            spawn_sim_workers(scope, variant, job_rxs, result_tx);
             self.event_loop(ingest, job_txs, &result_rx)
         })?;
 

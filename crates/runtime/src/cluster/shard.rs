@@ -53,7 +53,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 
 use overlay_arch::FuVariant;
-use overlay_sim::{OverlaySimulator, SimError, SimRun};
+use overlay_sim::{SimError, SimRun};
 
 use crate::cache::CacheStats;
 use crate::control::Batcher;
@@ -64,9 +64,9 @@ use crate::obs;
 use crate::route::{cheapest_acquisition, kernel_home, Acquisition, TransferModel};
 use crate::session::SloClass;
 use crate::{
-    prepare_request, record_request_spans, BatchConfig, DispatchPolicy, DispatchRequest, InFlight,
-    KernelKey, PrepContext, Request, RequestOutcome, Runtime, RuntimeError, SimJob, SimMemo,
-    SimResults, SimSourced,
+    prepare_request, record_request_spans, spawn_sim_workers, BatchConfig, DispatchPolicy,
+    DispatchRequest, InFlight, KernelKey, PrepContext, Request, RequestOutcome, Runtime,
+    RuntimeError, SimJob, SimMemo, SimResults, SimSourced,
 };
 
 use super::{Cluster, ClusterLoopOutput, ClusterReport, Device};
@@ -552,19 +552,7 @@ fn run_lane(device: &mut Device, mut memo: SimMemo, ctx: &LaneCtx<'_>) -> LaneOu
         (0..lane_workers).map(|_| mpsc::channel::<SimJob>()).unzip();
 
     let mut output = thread::scope(|scope| {
-        for job_rx in job_rxs {
-            let result_tx = result_tx.clone();
-            scope.spawn(move || {
-                let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
-                while let Ok(job) = job_rx.recv() {
-                    let run = simulator.run(&job.compiled, &job.request.workload);
-                    if result_tx.send((job.index, run)).is_err() {
-                        break; // the lane is gone (it failed); stop working
-                    }
-                }
-            });
-        }
-        drop(result_tx); // workers hold the clones that matter
+        spawn_sim_workers(scope, variant, job_rxs, result_tx);
         let mut state = LaneState {
             queues: (0..total_tiles)
                 .map(|_| TileQueue::new(ctx.policy, ctx.batching.enabled()))

@@ -494,6 +494,32 @@ pub(crate) struct SimJob {
     pub(crate) request: Arc<Request>,
 }
 
+/// Spawns one sim worker on `scope` per job channel in `job_rxs`. Each
+/// worker runs an untraced simulator over the jobs it receives and sends
+/// every run back on `result_tx`, tagged with the job's intake index. A
+/// worker stops when its job channel closes, or when the result receiver
+/// is gone (the loop that owned it failed). `result_tx` itself is dropped
+/// here, so only the workers' clones keep the result channel open.
+pub(crate) fn spawn_sim_workers<'scope>(
+    scope: &'scope thread::Scope<'scope, '_>,
+    variant: FuVariant,
+    job_rxs: Vec<mpsc::Receiver<SimJob>>,
+    result_tx: mpsc::Sender<(usize, Result<SimRun, SimError>)>,
+) {
+    for job_rx in job_rxs {
+        let result_tx = result_tx.clone();
+        scope.spawn(move || {
+            let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
+            while let Ok(job) = job_rx.recv() {
+                let run = simulator.run(&job.compiled, &job.request.workload);
+                if result_tx.send((job.index, run)).is_err() {
+                    break;
+                }
+            }
+        });
+    }
+}
+
 /// Sim results as the event loop consumes them: jobs are spawned eagerly at
 /// admission (deduplicated by [`SimKey`] against in-flight runs while
 /// memoization is enabled), dealt to the least-loaded worker, returned in
@@ -1176,23 +1202,10 @@ impl Runtime {
             if let Some((feed, ingest_tx)) = feed {
                 scope.spawn(move || feed(Submitter::new(ingest_tx)));
             }
-            for job_rx in job_rxs {
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
-                    while let Ok(job) = job_rx.recv() {
-                        let run = simulator.run(&job.compiled, &job.request.workload);
-                        if result_tx.send((job.index, run)).is_err() {
-                            break; // loop is gone (it failed); stop working
-                        }
-                    }
-                });
-            }
-            drop(result_tx); // workers hold the clones that matter
-                             // `ingest` and the job senders move into the
-                             // loop so that returning (success or error)
-                             // disconnects the feeder and the workers and
-                             // lets the scope join them.
+            spawn_sim_workers(scope, variant, job_rxs, result_tx);
+            // `ingest` and the job senders move into the loop so that
+            // returning (success or error) disconnects the feeder and the
+            // workers and lets the scope join them.
             self.event_loop(ingest, job_txs, &result_rx)
         })?;
 

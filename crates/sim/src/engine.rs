@@ -16,11 +16,9 @@
 //! executions serialise through one issue slot — which is exactly why its II
 //! is `#load + #op + 2`.
 
-use std::collections::HashMap;
-
 use overlay_arch::FuVariant;
 use overlay_dfg::Value;
-use overlay_isa::{FuProgram, Instruction};
+use overlay_isa::{FuProgram, Instruction, RegIndex, REGISTER_FILE_SIZE};
 
 use crate::error::SimError;
 use crate::regfile::RegisterFile;
@@ -44,12 +42,24 @@ impl TimedWord {
     }
 }
 
+/// Hazard-table entry of a register no write-back has produced in the
+/// current block.
+const NEVER_WRITTEN: usize = usize::MAX;
+
 /// Persistent state of one FU across blocks.
+///
+/// The program is decoded once, at construction, into the input
+/// controller's load list and the execution engine's issue slots, so
+/// processing a block walks two flat slices and touches no heap memory
+/// beyond the caller's output buffer.
 #[derive(Debug, Clone)]
 pub struct FuEngine {
     index: usize,
     variant: FuVariant,
-    program: FuProgram,
+    /// `(destination, forward)` of each load, in stream order.
+    loads: Vec<(RegIndex, bool)>,
+    /// The `EXEC`/`NOP` issue slots, in order.
+    execs: Vec<Instruction>,
     constants: RegisterFile,
     last_load_end: usize,
     last_exec_end: usize,
@@ -58,14 +68,29 @@ pub struct FuEngine {
 impl FuEngine {
     /// Creates the engine for FU `index` running `program` on `variant`.
     pub fn new(index: usize, variant: FuVariant, program: FuProgram) -> Self {
+        Self::decode(index, variant, &program)
+    }
+
+    /// Creates the engine for FU `index` from a borrowed `program`, splitting
+    /// it into loads and issue slots.
+    pub(crate) fn decode(index: usize, variant: FuVariant, program: &FuProgram) -> Self {
         let mut constants = RegisterFile::new();
         for (reg, value) in program.constant_init() {
             constants.write(*reg, *value);
         }
+        let mut loads = Vec::with_capacity(program.num_loads());
+        let mut execs = Vec::with_capacity(program.len() - program.num_loads());
+        for instr in program.instructions() {
+            match *instr {
+                Instruction::Load { dst, fwd } => loads.push((dst, fwd)),
+                other => execs.push(other),
+            }
+        }
         FuEngine {
             index,
             variant,
-            program,
+            loads,
+            execs,
             constants,
             last_load_end: 0,
             last_exec_end: 0,
@@ -97,18 +122,29 @@ impl FuEngine {
         incoming: &[TimedWord],
         trace: &mut Trace,
     ) -> Result<Vec<TimedWord>, SimError> {
+        let mut outgoing = Vec::new();
+        self.process_block_into(block, incoming, &mut outgoing, trace)?;
+        Ok(outgoing)
+    }
+
+    /// [`FuEngine::process_block`] writing the forwarded words into
+    /// `outgoing` (cleared first), so a run can reuse its stream buffers.
+    pub(crate) fn process_block_into(
+        &mut self,
+        block: usize,
+        incoming: &[TimedWord],
+        outgoing: &mut Vec<TimedWord>,
+        trace: &mut Trace,
+    ) -> Result<(), SimError> {
         let serialized = matches!(self.variant, FuVariant::Baseline);
-        let mut context = RegisterFile::new();
-        let mut outgoing: Vec<TimedWord> = Vec::new();
+        // The block's register window starts with only the static constants
+        // resident: a register this block writes shadows the constant, any
+        // other read falls through to it.
+        let mut context = self.constants.clone();
+        outgoing.clear();
 
         // ---- input phase ---------------------------------------------------
-        let load_instrs: Vec<&Instruction> = self
-            .program
-            .instructions()
-            .iter()
-            .filter(|i| i.is_load())
-            .collect();
-        if load_instrs.len() > incoming.len() {
+        if self.loads.len() > incoming.len() {
             return Err(SimError::StreamUnderflow {
                 fu: self.index,
                 block,
@@ -121,42 +157,30 @@ impl FuEngine {
             cursor = cursor.max(self.last_exec_end + 3);
         }
         let mut last_load_time = self.last_load_end;
-        for (j, instr) in load_instrs.iter().enumerate() {
-            let Instruction::Load { dst, fwd } = instr else {
-                unreachable!("filtered to loads");
-            };
-            let time = cursor.max(incoming[j].arrival());
+        for (&(dst, fwd), word) in self.loads.iter().zip(incoming) {
+            let time = cursor.max(word.arrival());
             cursor = time + 1;
             last_load_time = time;
-            context.write(*dst, incoming[j].value);
-            if *fwd {
+            context.write(dst, word.value);
+            if fwd {
                 outgoing.push(TimedWord {
-                    value: incoming[j].value,
+                    value: word.value,
                     depart: time,
                 });
             }
-            trace.record(Event {
+            trace.record_with(|| Event {
                 cycle: time,
                 fu: self.index,
                 block,
                 kind: EventKind::Load {
                     register: dst.index(),
-                    value: incoming[j].value,
-                    forwarded: *fwd,
+                    value: word.value,
+                    forwarded: fwd,
                 },
             });
         }
-        if load_instrs.is_empty() {
-            last_load_time = self.last_load_end;
-        }
 
         // ---- execution phase -----------------------------------------------
-        let exec_slots: Vec<&Instruction> = self
-            .program
-            .instructions()
-            .iter()
-            .filter(|i| !i.is_load())
-            .collect();
         // Execution starts once the block's data is resident and the previous
         // block has drained the DSP pipeline (two flush cycles).
         let mut exec_time = (last_load_time + 1).max(self.last_exec_end + 3);
@@ -164,18 +188,18 @@ impl FuEngine {
             exec_time = exec_time.max(cursor);
         }
         let pipeline_depth = self.variant.dsp_pipeline_depth();
-        let iwp = self.variant.iwp().unwrap_or(0);
+        let spacing = self.variant.iwp().unwrap_or(0).max(1);
         // Slot index at which each register was produced by a write-back, to
         // check the IWP spacing.
-        let mut wb_slot_of_reg: HashMap<usize, usize> = HashMap::new();
+        let mut wb_slot_of_reg = [NEVER_WRITTEN; REGISTER_FILE_SIZE];
         let mut last_exec_time = self.last_exec_end;
 
-        for (slot_index, instr) in exec_slots.iter().enumerate() {
+        for (slot_index, instr) in self.execs.iter().enumerate() {
             let time = exec_time + slot_index;
             last_exec_time = time;
-            match instr {
+            match *instr {
                 Instruction::Nop => {
-                    trace.record(Event {
+                    trace.record_with(|| Event {
                         cycle: time,
                         fu: self.index,
                         block,
@@ -190,62 +214,61 @@ impl FuEngine {
                     wb,
                     ndf,
                 } => {
-                    let read = |reg: overlay_isa::RegIndex| -> Result<Value, SimError> {
-                        if let Some(&producer_slot) = wb_slot_of_reg.get(&reg.index()) {
-                            if slot_index < producer_slot + iwp.max(1) {
-                                return Err(SimError::WritebackHazard {
-                                    fu: self.index,
-                                    block,
-                                    observed: slot_index - producer_slot,
-                                    required: iwp.max(1),
-                                });
-                            }
-                        }
-                        context
-                            .read(reg)
-                            .or_else(|| self.constants.read(reg))
-                            .ok_or(SimError::UninitializedRegister {
+                    let read = |reg: RegIndex| -> Result<Value, SimError> {
+                        let producer_slot = wb_slot_of_reg[reg.index()];
+                        if producer_slot != NEVER_WRITTEN && slot_index < producer_slot + spacing {
+                            return Err(SimError::WritebackHazard {
                                 fu: self.index,
-                                register: reg.index(),
                                 block,
-                            })
+                                observed: slot_index - producer_slot,
+                                required: spacing,
+                            });
+                        }
+                        context.read(reg).ok_or(SimError::UninitializedRegister {
+                            fu: self.index,
+                            register: reg.index(),
+                            block,
+                        })
                     };
-                    let a = read(*src1)?;
-                    let operands = if op.arity() == 1 {
-                        vec![a]
+                    // Unary ops never read their second source; every other
+                    // op gets two operands (so a ternary op fails arity).
+                    let mut operands = [read(src1)?, Value::ZERO];
+                    let supplied = if op.arity() == 1 {
+                        1
                     } else {
-                        vec![a, read(*src2)?]
+                        operands[1] = read(src2)?;
+                        2
                     };
-                    let result = op.apply(&operands).map_err(SimError::Dfg)?;
-                    if *wb {
-                        context.write(*dst, result);
-                        wb_slot_of_reg.insert(dst.index(), slot_index);
+                    let result = op.apply(&operands[..supplied]).map_err(SimError::Dfg)?;
+                    if wb {
+                        context.write(dst, result);
+                        wb_slot_of_reg[dst.index()] = slot_index;
                     }
-                    if !*ndf {
+                    if !ndf {
                         outgoing.push(TimedWord {
                             value: result,
                             depart: time + pipeline_depth,
                         });
                     }
-                    trace.record(Event {
+                    trace.record_with(|| Event {
                         cycle: time,
                         fu: self.index,
                         block,
                         kind: EventKind::Exec {
                             mnemonic: op.mnemonic(),
                             value: result,
-                            writeback: *wb,
-                            forwarded: !*ndf,
+                            writeback: wb,
+                            forwarded: !ndf,
                         },
                     });
                 }
-                Instruction::Load { .. } => unreachable!("loads were filtered out"),
+                Instruction::Load { .. } => unreachable!("loads are decoded apart"),
             }
         }
 
         self.last_load_end = last_load_time;
         self.last_exec_end = last_exec_time;
-        Ok(outgoing)
+        Ok(())
     }
 }
 

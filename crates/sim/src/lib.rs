@@ -18,6 +18,12 @@
 //! * the V2 variant's replicated datapath is modelled as two lanes that
 //!   process alternate kernel invocations.
 //!
+//! [`OverlaySimulator::run`] decodes each FU program once per run, into the
+//! input controller's load list and the execution engine's issue slots, and
+//! reuses two stream buffers between the stages of every block, so the
+//! per-block work touches no heap memory beyond the output record it
+//! returns. An untraced run (`with_trace_capacity(0)`) only counts events.
+//!
 //! The functional results are checked against the DFG reference evaluator
 //! ([`overlay_dfg::evaluate`]) in the test-suite, and the measured initiation
 //! interval and latency are compared with the analytical models of

@@ -94,7 +94,8 @@ impl OverlaySimulator {
         let mut trace = Trace::with_capacity(self.trace_capacity);
         let lanes = self.variant.datapath_lanes();
         // One chain of FU engines per datapath lane; the V2 variant processes
-        // alternate invocations on alternate lanes.
+        // alternate invocations on alternate lanes. Each engine decodes its
+        // program once here, for the whole run.
         let mut chains: Vec<Vec<FuEngine>> = (0..lanes)
             .map(|_| {
                 compiled
@@ -102,24 +103,28 @@ impl OverlaySimulator {
                     .fu_programs()
                     .iter()
                     .enumerate()
-                    .map(|(index, program)| FuEngine::new(index, self.variant, program.clone()))
+                    .map(|(index, program)| FuEngine::decode(index, self.variant, program))
                     .collect()
             })
             .collect();
 
         let mut outputs: Vec<Vec<Value>> = Vec::with_capacity(workload.len());
         let mut completion_cycles: Vec<usize> = Vec::with_capacity(workload.len());
+        // The stream between two stages: each engine reads `words` and
+        // writes `next`, then the two swap, so the buffers are reused for
+        // every stage of every block.
+        let mut words: Vec<TimedWord> = Vec::new();
+        let mut next: Vec<TimedWord> = Vec::new();
 
         for (block, record) in workload.records().iter().enumerate() {
             let lane = block % lanes;
             // Input FIFO words for this invocation are all resident from
             // cycle 0 (streaming DMA keeps the FIFO ahead of the overlay).
-            let mut words: Vec<TimedWord> = record
-                .iter()
-                .map(|&value| TimedWord { value, depart: 0 })
-                .collect();
+            words.clear();
+            words.extend(record.iter().map(|&value| TimedWord { value, depart: 0 }));
             for engine in chains[lane].iter_mut() {
-                words = engine.process_block(block, &words, &mut trace)?;
+                engine.process_block_into(block, &words, &mut next, &mut trace)?;
+                std::mem::swap(&mut words, &mut next);
             }
             // Map the final forwarded stream to the kernel outputs.
             let mut record_outputs = Vec::with_capacity(compiled.output_stream_index.len());
@@ -131,7 +136,7 @@ impl OverlaySimulator {
                 })?;
                 record_outputs.push(word.value);
                 completion = completion.max(word.arrival());
-                trace.record(Event {
+                trace.record_with(|| Event {
                     cycle: word.arrival(),
                     fu: compiled.num_fus(),
                     block,

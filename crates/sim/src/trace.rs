@@ -125,8 +125,15 @@ impl Trace {
     /// Records an event (or counts it as dropped once the capacity is
     /// reached).
     pub fn record(&mut self, event: Event) {
+        self.record_with(|| event);
+    }
+
+    /// Records the event `build` describes, building it only if it will be
+    /// kept: a full or disabled trace just counts it as dropped.
+    #[inline]
+    pub(crate) fn record_with(&mut self, build: impl FnOnce() -> Event) {
         if self.events.len() < self.capacity {
-            self.events.push(event);
+            self.events.push(build());
         } else {
             self.dropped += 1;
         }
