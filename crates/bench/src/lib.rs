@@ -307,7 +307,7 @@ pub fn iwp_ablation() -> String {
 }
 
 /// The known top-level sections of `BENCH_runtime.json`, in emission order.
-const BENCH_JSON_SECTIONS: [&str; 8] = [
+const BENCH_JSON_SECTIONS: [&str; 9] = [
     "runtime_scalability",
     "cluster_scalability",
     "parallel_cluster",
@@ -316,6 +316,7 @@ const BENCH_JSON_SECTIONS: [&str; 8] = [
     "dag_pipeline",
     "profile",
     "simulator",
+    "serve_fixed",
 ];
 
 /// Why [`splice_bench_json`] refused to produce a combined document.

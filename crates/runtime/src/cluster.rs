@@ -66,7 +66,6 @@ use std::thread;
 
 use overlay_arch::{FuVariant, ReconfigModel, TileComposition};
 use overlay_frontend::LowerOptions;
-use overlay_sim::{SimError, SimRun};
 
 use crate::cache::CacheStats;
 use crate::control::{Batcher, Replicator};
@@ -86,10 +85,10 @@ use crate::session::{
     PipelineOutcome, PipelineReport, PipelineRequest, ReorderBuffer, Session, SloClass,
 };
 use crate::{
-    prepare_request, record_request_spans, spawn_sim_workers, BatchConfig, DispatchPolicy,
-    DispatchRequest, Dispatcher, InFlight, Ingest, KernelCache, KernelKey, PrepContext,
-    RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, SimJob,
-    SimMemo, SimResults, SimSourced, Submitter, TilePool,
+    prepare_request, record_request_spans, BatchConfig, DispatchPolicy, DispatchRequest,
+    Dispatcher, InFlight, Ingest, KernelCache, KernelKey, PrepContext, RejectedRequest,
+    ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, SimMemo, SimPool,
+    SimResults, SimSourced, Submitter, TilePool,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -299,7 +298,7 @@ impl ClusterReport {
 /// Mutable event-loop state (the cluster mirror of the runtime's
 /// `OnlineState`), separate from the `Cluster` so placement and bookkeeping
 /// borrows stay disjoint.
-struct ClusterState<'a> {
+struct ClusterState {
     /// Per-tile waiting queues, indexed by global tile id
     /// (`device * tiles_per_device + local`).
     queues: Vec<TileQueue>,
@@ -307,7 +306,7 @@ struct ClusterState<'a> {
     events: EventQueue,
     outcome_slots: Vec<Option<RequestOutcome>>,
     rejected: Vec<RejectedRequest>,
-    sim: SimResults<'a>,
+    sim: SimResults,
     /// The same-kernel batching layer, indexed by global tile id (a no-op
     /// at the default `max_batch = 1`).
     batcher: Batcher,
@@ -446,6 +445,10 @@ pub struct Cluster {
     telemetry: obs::TelemetryConfig,
     /// SLO burn-rate objectives (off by default; needs telemetry).
     slo: obs::SloConfig,
+    /// The sim workers every serial serve deals its jobs to, spawned at the
+    /// first serve and joined when the cluster drops. Sharded lanes run
+    /// pools of their own.
+    sim_pool: SimPool,
 }
 
 impl Cluster {
@@ -481,6 +484,7 @@ impl Cluster {
                 })
             })
             .collect::<Result<_, RuntimeError>>()?;
+        let sim_workers = (devices.len() * tiles_per_device).clamp(1, Runtime::MAX_SIM_WORKERS);
         let mut cluster = Cluster {
             devices,
             route: RoutePolicy::default(),
@@ -505,6 +509,7 @@ impl Cluster {
             session_driver: None,
             telemetry: obs::TelemetryConfig::disabled(),
             slo: obs::SloConfig::disabled(),
+            sim_pool: SimPool::new(variant, sim_workers),
         };
         cluster.rebuild_load_index();
         Ok(cluster)
@@ -1068,7 +1073,7 @@ impl Cluster {
         device: usize,
         info: &InFlight,
         acquisition: Acquisition,
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) -> f64 {
         match acquisition {
             Acquisition::Resident => {
@@ -1109,7 +1114,7 @@ impl Cluster {
     /// replicas instead of letting LRU evict blindly. The modeled prefetch
     /// cost (the cheapest [`TransferModel`] source) is accounted as
     /// off-critical-path traffic in [`ReplicationStats`].
-    fn replicate(&mut self, info: &InFlight, now_us: f64, state: &mut ClusterState<'_>) {
+    fn replicate(&mut self, info: &InFlight, now_us: f64, state: &mut ClusterState) {
         let ClusterState {
             replicator,
             recorder,
@@ -1393,7 +1398,7 @@ impl Cluster {
         index: usize,
         info: &InFlight,
         now_us: f64,
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) {
         if state.recorder.enabled() {
             state.recorder.record(obs::TraceEvent {
@@ -1430,7 +1435,7 @@ impl Cluster {
         index: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) {
         let shed = match &mut state.session {
             Some(driver) => driver.note_rejected(index, now_us),
@@ -1455,7 +1460,7 @@ impl Cluster {
         routed: usize,
         acquisition: Acquisition,
         info: &InFlight,
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) -> (usize, Acquisition) {
         let ClusterState {
             session,
@@ -1515,7 +1520,7 @@ impl Cluster {
         device: usize,
         info: &InFlight,
         now_us: f64,
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) {
         let ClusterState {
             session, recorder, ..
@@ -1554,7 +1559,7 @@ impl Cluster {
         device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) {
         let ClusterState {
             session,
@@ -1588,7 +1593,7 @@ impl Cluster {
         fault_index: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) {
         let kind = self
             .fault
@@ -1636,7 +1641,7 @@ impl Cluster {
         device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) {
         self.load_index.remove(&self.devices[device].load_key());
         let base = device * self.tiles_per_device;
@@ -1678,7 +1683,7 @@ impl Cluster {
         device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) {
         self.load_index.remove(&self.devices[device].load_key());
         let base = device * self.tiles_per_device;
@@ -1722,7 +1727,7 @@ impl Cluster {
         from_device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) {
         state.exclusions[index].insert(from_device);
         self.fault
@@ -1746,7 +1751,7 @@ impl Cluster {
     /// each orphaned image still held by a surviving store is pushed onto
     /// the least-loaded live device with a free slot that does not hold it
     /// — the same adoption path and accounting as a rate-driven push.
-    fn rehome_replicas(&mut self, dead: usize, now_us: f64, state: &mut ClusterState<'_>) {
+    fn rehome_replicas(&mut self, dead: usize, now_us: f64, state: &mut ClusterState) {
         for key in state.replicator.drain_device(dead) {
             let Some(artifact) = self
                 .devices
@@ -1786,10 +1791,10 @@ impl Cluster {
         }
     }
 
-    /// The shared serve body: resets per-serve state, spins up the shared
-    /// sim worker pool (and the feeder thread for streaming serves), runs
-    /// the cluster event loop over `ingest` and folds the output into a
-    /// report.
+    /// The shared serve body: resets per-serve state, opens the serve's
+    /// results over the persistent sim-worker pool (and spawns the feeder
+    /// thread for streaming serves), runs the cluster event loop over
+    /// `ingest` and folds the output into a report.
     fn run_serve<F>(
         &mut self,
         ingest: Ingest,
@@ -1829,19 +1834,14 @@ impl Cluster {
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
 
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Result<SimRun, SimError>)>();
-        let workers = self.total_tiles().clamp(1, Runtime::MAX_SIM_WORKERS);
-        let variant = self.variant();
-        let (job_txs, job_rxs): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| mpsc::channel::<SimJob>()).unzip();
-
-        let output = thread::scope(|scope| {
-            if let Some((feed, ingest_tx)) = feed {
+        let sim = SimResults::new(&mut self.sim_pool, self.sim_memo.capacity() > 0);
+        let output = match feed {
+            Some((feed, ingest_tx)) => thread::scope(|scope| {
                 scope.spawn(move || feed(Submitter::new(ingest_tx)));
-            }
-            spawn_sim_workers(scope, variant, job_rxs, result_tx);
-            self.event_loop(ingest, job_txs, &result_rx)
-        })?;
+                self.event_loop(ingest, sim)
+            }),
+            None => self.event_loop(ingest, sim),
+        }?;
 
         let delta = |after: CacheStats, before: CacheStats| CacheStats {
             hits: after.hits - before.hits,
@@ -1878,8 +1878,7 @@ impl Cluster {
     fn event_loop(
         &mut self,
         mut ingest: Ingest,
-        jobs: Vec<mpsc::Sender<SimJob>>,
-        results: &mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
+        sim: SimResults,
     ) -> Result<ClusterLoopOutput, RuntimeError> {
         let mut ctx = PrepContext::for_pool(&self.devices[0].pool)?;
         let devices = self.num_devices();
@@ -1894,7 +1893,7 @@ impl Cluster {
             events: EventQueue::new(),
             outcome_slots: Vec::new(),
             rejected: Vec::new(),
-            sim: SimResults::new(results, jobs.len(), self.sim_memo.capacity() > 0),
+            sim,
             batcher: Batcher::new(self.batching, total_tiles),
             replicator: Replicator::new(self.replication, devices),
             peak_queue_depth: 0,
@@ -2161,7 +2160,7 @@ impl Cluster {
                         self.commit_acquisition(device, info, acquisition, &mut state);
                     self.commit_stage_activation(index, device, info, now_us, &mut state);
                     let memo = state.profiler.begin();
-                    let sourced = state.sim.source(index, info, &mut self.sim_memo, &jobs);
+                    let sourced = state.sim.source(index, info, &mut self.sim_memo);
                     state.profiler.end(obs::Stage::Memo, memo);
                     match sourced {
                         SimSourced::Joined => {
@@ -2353,7 +2352,7 @@ impl Cluster {
         device: usize,
         local_tile: usize,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
     ) -> Result<(), RuntimeError> {
         let tile = device * self.tiles_per_device + local_tile;
         let now_us = state.events.now_us();
@@ -2416,7 +2415,7 @@ impl Cluster {
         local_tile: usize,
         index: usize,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState,
         from_queue: Option<(f64, Option<KernelKey>)>,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
@@ -2695,6 +2694,44 @@ mod tests {
                 Request::new(i as u64, spec, workload).at(i as f64 * 2.0)
             })
             .collect()
+    }
+
+    #[test]
+    fn serial_serves_share_one_sim_pool_and_sharded_lanes_own_theirs() {
+        let mut cluster = Cluster::new(FuVariant::V4, 4, 4).unwrap();
+        let counts = cluster.sim_pool.counts();
+        for _ in 0..4 {
+            cluster.serve(benchmark_trace(12, 4)).unwrap();
+        }
+        for _ in 0..3 {
+            cluster
+                .serve_stream(|submitter| {
+                    for request in benchmark_trace(12, 4) {
+                        submitter.submit(request).unwrap();
+                    }
+                })
+                .unwrap();
+        }
+        let workers = Runtime::MAX_SIM_WORKERS;
+        assert_eq!(counts.spawned_live(), (workers, workers));
+        drop(cluster);
+        assert_eq!(counts.spawned_live(), (workers, 0));
+
+        // A sharded serve runs each lane on a pool of its own, joined at
+        // lane end; the cluster's pool spawns at its first serial serve.
+        let mut cluster = Cluster::new(FuVariant::V4, 2, 2).unwrap().with_threads(2);
+        let counts = cluster.sim_pool.counts();
+        assert!(cluster.sharded_eligible());
+        cluster.serve(benchmark_trace(12, 4)).unwrap();
+        assert_eq!(counts.spawned_live(), (0, 0));
+        cluster
+            .serve_stream(|submitter| {
+                for request in benchmark_trace(12, 4) {
+                    submitter.submit(request).unwrap();
+                }
+            })
+            .unwrap();
+        assert_eq!(counts.spawned_live(), (4, 4));
     }
 
     #[test]

@@ -49,11 +49,10 @@
 //!   several requests fail). Cluster state after an error is unspecified on
 //!   both paths.
 
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 
 use overlay_arch::FuVariant;
-use overlay_sim::{SimError, SimRun};
 
 use crate::cache::CacheStats;
 use crate::control::Batcher;
@@ -64,9 +63,9 @@ use crate::obs;
 use crate::route::{cheapest_acquisition, kernel_home, Acquisition, TransferModel};
 use crate::session::SloClass;
 use crate::{
-    prepare_request, record_request_spans, spawn_sim_workers, BatchConfig, DispatchPolicy,
-    DispatchRequest, InFlight, KernelKey, PrepContext, Request, RequestOutcome, Runtime,
-    RuntimeError, SimJob, SimMemo, SimResults, SimSourced,
+    prepare_request, record_request_spans, BatchConfig, DispatchPolicy, DispatchRequest, InFlight,
+    KernelKey, PrepContext, Request, RequestOutcome, Runtime, RuntimeError, SimMemo, SimPool,
+    SimResults, SimSourced,
 };
 
 use super::{Cluster, ClusterLoopOutput, ClusterReport, Device};
@@ -128,11 +127,11 @@ struct LaneOutput {
 }
 
 /// Mutable lane-loop state — the lane mirror of `ClusterState`.
-struct LaneState<'a> {
+struct LaneState {
     queues: Vec<TileQueue>,
     taken: Vec<bool>,
     events: EventQueue,
-    sim: SimResults<'a>,
+    sim: SimResults,
     acquire_us: Vec<f64>,
     acquire_src: Vec<(&'static str, u64)>,
     batcher: Batcher,
@@ -537,7 +536,9 @@ impl Cluster {
 
 /// Runs one device's lane to completion: its own sim-worker pool, its own
 /// virtual-time loop over the full schedule (enqueuing only its own
-/// arrivals), and the handshake log the commit stage replays.
+/// arrivals), and the handshake log the commit stage replays. The lane's
+/// workers live only while the lane runs: the pool drops (joining them)
+/// when this returns.
 fn run_lane(device: &mut Device, mut memo: SimMemo, ctx: &LaneCtx<'_>) -> LaneOutput {
     let total_tiles = ctx.devices * ctx.tiles_per_device;
     // Split the serial loop's worker budget across the lanes so the sharded
@@ -545,62 +546,54 @@ fn run_lane(device: &mut Device, mut memo: SimMemo, ctx: &LaneCtx<'_>) -> LaneOu
     let lane_workers = ctx
         .tiles_per_device
         .clamp(1, (Runtime::MAX_SIM_WORKERS / ctx.devices).max(1));
-    let variant = ctx.variant;
     let requests = ctx.intake.len();
-    let (result_tx, result_rx) = mpsc::channel::<(usize, Result<SimRun, SimError>)>();
-    let (job_txs, job_rxs): (Vec<_>, Vec<_>) =
-        (0..lane_workers).map(|_| mpsc::channel::<SimJob>()).unzip();
-
-    let mut output = thread::scope(|scope| {
-        spawn_sim_workers(scope, variant, job_rxs, result_tx);
-        let mut state = LaneState {
-            queues: (0..total_tiles)
-                .map(|_| TileQueue::new(ctx.policy, ctx.batching.enabled()))
-                .collect(),
-            taken: vec![false; requests],
-            events: EventQueue::new(),
-            sim: SimResults::new(&result_rx, lane_workers, memo.capacity() > 0),
-            acquire_us: vec![0.0; requests],
-            acquire_src: vec![("resident", 0); requests],
-            batcher: Batcher::new(ctx.batching, total_tiles),
-            // Unbounded lane ring: drop-oldest and route-slot recycling are
-            // the commit stage's job, in merged order.
-            recorder: obs::TraceRecorder::new(if ctx.tracing.is_enabled() {
-                obs::TraceConfig::with_capacity(usize::MAX)
-            } else {
-                obs::TraceConfig::disabled()
-            }),
-            profiler: obs::StageProfiler::new(ctx.profiling),
-            latency_hist: obs::LogHistogram::new(),
-            outcome_slots: (0..requests).map(|_| None).collect(),
-            log: Vec::new(),
-            peak_queue: 0,
-            host_loads: 0,
-            transfers: (0, 0),
-            series: obs::LaneSeries::new(ctx.telemetry),
-        };
-        for _ in 0..requests {
-            state.sim.push_slot();
-        }
-        let error = lane_loop(device, ctx, &mut state, &mut memo, &job_txs);
-        drop(job_txs); // release the workers
-        LaneOutput {
-            outcome_slots: state.outcome_slots,
-            log: state.log,
-            trace: state.recorder.finish(),
-            memo: SimMemo::new(0), // placeholder; the partition is moved in below
-            batch: state.batcher.stats(),
-            peak_queue: state.peak_queue,
-            host_loads: state.host_loads,
-            transfers: state.transfers,
-            latency_hist: state.latency_hist,
-            profile: state.profiler.finish(),
-            series: state.series,
-            error,
-        }
-    });
-    output.memo = memo;
-    output
+    // Declared before `state` so it drops after it: the serve's job-channel
+    // clones in `state.sim` must close before the pool joins its workers.
+    let mut pool = SimPool::new(ctx.variant, lane_workers);
+    let mut state = LaneState {
+        queues: (0..total_tiles)
+            .map(|_| TileQueue::new(ctx.policy, ctx.batching.enabled()))
+            .collect(),
+        taken: vec![false; requests],
+        events: EventQueue::new(),
+        sim: SimResults::new(&mut pool, memo.capacity() > 0),
+        acquire_us: vec![0.0; requests],
+        acquire_src: vec![("resident", 0); requests],
+        batcher: Batcher::new(ctx.batching, total_tiles),
+        // Unbounded lane ring: drop-oldest and route-slot recycling are
+        // the commit stage's job, in merged order.
+        recorder: obs::TraceRecorder::new(if ctx.tracing.is_enabled() {
+            obs::TraceConfig::with_capacity(usize::MAX)
+        } else {
+            obs::TraceConfig::disabled()
+        }),
+        profiler: obs::StageProfiler::new(ctx.profiling),
+        latency_hist: obs::LogHistogram::new(),
+        outcome_slots: (0..requests).map(|_| None).collect(),
+        log: Vec::new(),
+        peak_queue: 0,
+        host_loads: 0,
+        transfers: (0, 0),
+        series: obs::LaneSeries::new(ctx.telemetry),
+    };
+    for _ in 0..requests {
+        state.sim.push_slot();
+    }
+    let error = lane_loop(device, ctx, &mut state, &mut memo);
+    LaneOutput {
+        outcome_slots: state.outcome_slots,
+        log: state.log,
+        trace: state.recorder.finish(),
+        memo,
+        batch: state.batcher.stats(),
+        peak_queue: state.peak_queue,
+        host_loads: state.host_loads,
+        transfers: state.transfers,
+        latency_hist: state.latency_hist,
+        profile: state.profiler.finish(),
+        series: state.series,
+        error,
+    }
 }
 
 /// The lane's virtual-time loop — the serial cluster event loop restricted
@@ -608,9 +601,8 @@ fn run_lane(device: &mut Device, mut memo: SimMemo, ctx: &LaneCtx<'_>) -> LaneOu
 fn lane_loop(
     device: &mut Device,
     ctx: &LaneCtx<'_>,
-    state: &mut LaneState<'_>,
+    state: &mut LaneState,
     memo: &mut SimMemo,
-    jobs: &[mpsc::Sender<SimJob>],
 ) -> Option<(usize, RuntimeError)> {
     let lane = device.id;
     let mut cursor = 0usize;
@@ -716,7 +708,7 @@ fn lane_loop(
                     }
                 };
                 let memo_probe = state.profiler.begin();
-                let sourced = state.sim.source(index, info, memo, jobs);
+                let sourced = state.sim.source(index, info, memo);
                 state.profiler.end(obs::Stage::Memo, memo_probe);
                 match sourced {
                     SimSourced::Joined => {
@@ -804,7 +796,7 @@ fn lane_loop(
 fn lane_start_next(
     device: &mut Device,
     ctx: &LaneCtx<'_>,
-    state: &mut LaneState<'_>,
+    state: &mut LaneState,
     memo: &mut SimMemo,
     local_tile: usize,
 ) -> Result<f64, (usize, RuntimeError)> {
@@ -855,7 +847,7 @@ fn lane_start_next(
 fn lane_start_request(
     device: &mut Device,
     ctx: &LaneCtx<'_>,
-    state: &mut LaneState<'_>,
+    state: &mut LaneState,
     memo: &mut SimMemo,
     local_tile: usize,
     index: usize,

@@ -36,9 +36,15 @@
 //!   workload digest), so a repeated tenant request skips the functional
 //!   simulation entirely;
 //! * parallel functional execution — cycle-accurate simulations run on a
-//!   pool of host worker threads wrapping [`overlay_sim::OverlaySimulator`],
-//!   each fed by its own job channel (no contended receiver lock), with
-//!   identical in-flight requests deduplicated onto one run;
+//!   persistent pool of `min(tiles, 8)` host worker threads wrapping
+//!   [`overlay_sim::OverlaySimulator`], each fed by its own job channel (no
+//!   contended receiver lock), with identical in-flight requests
+//!   deduplicated onto one run. The [`Runtime`] or [`Cluster`] owns the
+//!   pool: it spawns at the first serve, every later serve reuses it, and
+//!   dropping the instance joins it. Each serve collects its results on a
+//!   reply channel of its own, so a failed serve's leftover jobs never
+//!   reach a later one. Sharded cluster lanes ([`Cluster::with_threads`])
+//!   own their workers instead, alive only while the lane runs;
 //! * [`RuntimeMetrics`] — requests/s, p50/p99 modeled latency, per-tile
 //!   utilization, cache and memo hit rates, context-switch totals, queue
 //!   depths, admission rejects, deadline miss rates and the host-side event
@@ -136,6 +142,7 @@ pub use session::{
 pub use submit::{SubmitError, Submitter};
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 
@@ -487,36 +494,123 @@ pub(crate) fn record_request_spans(
     );
 }
 
+/// A finished simulation as a worker reports it: the worker's own index
+/// (so the loop credits that worker's outstanding count without a lookup),
+/// the job's intake index and the run.
+pub(crate) type SimReply = (usize, usize, Result<SimRun, SimError>);
+
 /// A functional-simulation job handed to a worker.
 pub(crate) struct SimJob {
     pub(crate) index: usize,
     pub(crate) compiled: Arc<CompiledKernel>,
     pub(crate) request: Arc<Request>,
+    /// The reply channel of the serve that dealt this job.
+    pub(crate) reply: mpsc::Sender<SimReply>,
 }
 
-/// Spawns one sim worker on `scope` per job channel in `job_rxs`. Each
-/// worker runs an untraced simulator over the jobs it receives and sends
-/// every run back on `result_tx`, tagged with the job's intake index. A
-/// worker stops when its job channel closes, or when the result receiver
-/// is gone (the loop that owned it failed). `result_tx` itself is dropped
-/// here, so only the workers' clones keep the result channel open.
-pub(crate) fn spawn_sim_workers<'scope>(
-    scope: &'scope thread::Scope<'scope, '_>,
+/// A [`SimPool`]'s spawned and live worker counts.
+#[derive(Debug, Default)]
+pub(crate) struct WorkerCounts {
+    /// Worker threads ever spawned.
+    spawned: AtomicUsize,
+    /// Worker threads spawned and not yet joined.
+    live: AtomicUsize,
+}
+
+#[cfg(test)]
+impl WorkerCounts {
+    /// `(spawned, live)`.
+    pub(crate) fn spawned_live(&self) -> (usize, usize) {
+        (
+            self.spawned.load(Ordering::Relaxed),
+            self.live.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// The sim-worker pool: `size` host threads (`overlay-sim-<i>`), each
+/// running an untraced simulator over the jobs on its own channel, so
+/// workers never contend on a shared receiver lock. The threads spawn at
+/// the first [`SimResults`] built over the pool and are joined when the
+/// pool drops — a [`Runtime`] or [`Cluster`] keeps one for its whole life,
+/// a sharded lane one for the lane's run.
+///
+/// Results go back on the reply channel each job carries, and a worker
+/// ignores a failed send: the serve that dealt the job has ended (it
+/// failed), its receiver is gone, and the result could never reach a later
+/// serve, which replies on a channel of its own.
+pub(crate) struct SimPool {
     variant: FuVariant,
-    job_rxs: Vec<mpsc::Receiver<SimJob>>,
-    result_tx: mpsc::Sender<(usize, Result<SimRun, SimError>)>,
-) {
-    for job_rx in job_rxs {
-        let result_tx = result_tx.clone();
-        scope.spawn(move || {
-            let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
-            while let Ok(job) = job_rx.recv() {
-                let run = simulator.run(&job.compiled, &job.request.workload);
-                if result_tx.send((job.index, run)).is_err() {
-                    break;
-                }
+    size: usize,
+    jobs: Vec<mpsc::Sender<SimJob>>,
+    workers: Vec<thread::JoinHandle<()>>,
+    counts: Arc<WorkerCounts>,
+}
+
+impl SimPool {
+    /// A pool of `size` workers over `variant`; no thread spawns until
+    /// the first serve.
+    pub(crate) fn new(variant: FuVariant, size: usize) -> Self {
+        SimPool {
+            variant,
+            size,
+            jobs: Vec::new(),
+            workers: Vec::new(),
+            counts: Arc::default(),
+        }
+    }
+
+    /// The workers' job channels, spawning the workers on first use.
+    fn jobs(&mut self) -> &[mpsc::Sender<SimJob>] {
+        if self.jobs.is_empty() {
+            for worker in 0..self.size {
+                let (job_tx, job_rx) = mpsc::channel::<SimJob>();
+                let variant = self.variant;
+                let handle = thread::Builder::new()
+                    .name(format!("overlay-sim-{worker}"))
+                    .spawn(move || {
+                        let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
+                        while let Ok(job) = job_rx.recv() {
+                            let run = simulator.run(&job.compiled, &job.request.workload);
+                            let _ = job.reply.send((worker, job.index, run));
+                        }
+                    })
+                    .expect("the host can spawn a sim worker thread");
+                self.jobs.push(job_tx);
+                self.workers.push(handle);
+                self.counts.spawned.fetch_add(1, Ordering::Relaxed);
+                self.counts.live.fetch_add(1, Ordering::Relaxed);
             }
-        });
+        }
+        &self.jobs
+    }
+
+    /// The pool's spawned/live worker counts.
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> Arc<WorkerCounts> {
+        Arc::clone(&self.counts)
+    }
+}
+
+impl Drop for SimPool {
+    /// Closes every job channel and joins the workers. Each one finishes
+    /// the jobs already queued to it first.
+    fn drop(&mut self) {
+        self.jobs.clear();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+            self.counts.live.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl std::fmt::Debug for SimPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SimPool")
+            .field("variant", &self.variant)
+            .field("size", &self.size)
+            .field("spawned", &!self.workers.is_empty())
+            .finish()
     }
 }
 
@@ -525,8 +619,12 @@ pub(crate) fn spawn_sim_workers<'scope>(
 /// memoization is enabled), dealt to the least-loaded worker, returned in
 /// any order, and the loop blocks for a specific index only when a tile is
 /// about to execute that request.
-pub(crate) struct SimResults<'a> {
-    rx: &'a mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
+pub(crate) struct SimResults {
+    /// This serve's clones of the pool's job channels.
+    jobs: Vec<mpsc::Sender<SimJob>>,
+    /// The serve's reply channel; every job carries a clone of `reply`.
+    reply: mpsc::Sender<SimReply>,
+    rx: mpsc::Receiver<SimReply>,
     /// One slot per intake index — no hashing on the hot path.
     ready: Vec<Option<Result<Arc<SimRun>, SimError>>>,
     /// Intake indices awaiting each in-flight simulation; the first entry is
@@ -539,24 +637,24 @@ pub(crate) struct SimResults<'a> {
     /// to the least-loaded worker so one long simulation does not pin
     /// later jobs behind it on a single channel.
     outstanding: Vec<u32>,
-    /// Which worker each spawned intake index was dealt to.
-    worker_of: FnvHashMap<usize, usize>,
 }
 
-impl<'a> SimResults<'a> {
-    /// A fresh result tracker over `workers` job channels draining `rx`.
-    pub(crate) fn new(
-        rx: &'a mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
-        workers: usize,
-        dedup: bool,
-    ) -> Self {
+impl SimResults {
+    /// A fresh result tracker for one serve over `pool`'s workers (spawning
+    /// them if this is the pool's first serve), with its own reply channel.
+    /// It must drop before the pool does: its job-channel clones keep the
+    /// workers alive.
+    pub(crate) fn new(pool: &mut SimPool, dedup: bool) -> Self {
+        let jobs = pool.jobs().to_vec();
+        let (reply, rx) = mpsc::channel();
         SimResults {
+            outstanding: vec![0; jobs.len()],
+            jobs,
+            reply,
             rx,
             ready: Vec::new(),
             pending: FnvHashMap::default(),
             dedup,
-            outstanding: vec![0; workers],
-            worker_of: FnvHashMap::default(),
         }
     }
 
@@ -575,7 +673,6 @@ impl<'a> SimResults<'a> {
         index: usize,
         info: &InFlight,
         memo: &mut SimMemo,
-        jobs: &[mpsc::Sender<SimJob>],
     ) -> SimSourced {
         let joined = self.dedup
             && match self.pending.get_mut(&info.sim_key) {
@@ -598,12 +695,13 @@ impl<'a> SimResults<'a> {
             }
             memo.note_miss();
             let worker = self.least_loaded();
-            self.note_dispatched(worker, index);
-            jobs[worker]
+            self.outstanding[worker] += 1;
+            self.jobs[worker]
                 .send(SimJob {
                     index,
                     compiled: Arc::clone(&info.compiled),
                     request: Arc::clone(&info.request),
+                    reply: self.reply.clone(),
                 })
                 .expect("sim workers outlive the event loop");
             SimSourced::Spawned
@@ -627,12 +725,6 @@ impl<'a> SimResults<'a> {
             .expect("at least one sim worker exists")
     }
 
-    /// Records that `index`'s job was dealt to `worker`.
-    fn note_dispatched(&mut self, worker: usize, index: usize) {
-        self.outstanding[worker] += 1;
-        self.worker_of.insert(index, worker);
-    }
-
     /// Blocks until the run for `index` is available, fanning every received
     /// result out to all requests awaiting the same simulation and memoizing
     /// successful runs.
@@ -646,14 +738,10 @@ impl<'a> SimResults<'a> {
             if let Some(result) = self.ready[index].take() {
                 return result.map_err(RuntimeError::from);
             }
-            let (done, run) = self
+            let (worker, done, run) = self
                 .rx
                 .recv()
-                .expect("sim worker pool terminated while results were outstanding");
-            let worker = self
-                .worker_of
-                .remove(&done)
-                .expect("every result matches a dispatched job");
+                .expect("the serve holds its own reply sender");
             self.outstanding[worker] -= 1;
             if !self.dedup {
                 self.ready[done] = Some(run.map(Arc::new));
@@ -815,7 +903,7 @@ impl TileQueues {
 
 /// Mutable event-loop state, separate from the `Runtime` so placement (on
 /// `self`) and bookkeeping borrows stay disjoint.
-struct OnlineState<'a> {
+struct OnlineState {
     queues: TileQueues,
     /// Per intake index: logically removed from its tile queue (the ordered
     /// structures drop flagged entries lazily).
@@ -823,7 +911,7 @@ struct OnlineState<'a> {
     events: EventQueue,
     outcome_slots: Vec<Option<RequestOutcome>>,
     rejected: Vec<RejectedRequest>,
-    sim: SimResults<'a>,
+    sim: SimResults,
     /// The same-kernel batching layer over the tile-free queue drain (a
     /// no-op at the default `max_batch = 1`).
     batcher: Batcher,
@@ -883,6 +971,9 @@ pub struct Runtime {
     profiling: bool,
     telemetry: obs::TelemetryConfig,
     slo: obs::SloConfig,
+    /// The sim workers every serve deals its jobs to, spawned at the first
+    /// serve and joined when the runtime drops.
+    sim_pool: SimPool,
 }
 
 impl Runtime {
@@ -916,6 +1007,10 @@ impl Runtime {
 
     fn from_pool(pool: TilePool) -> Self {
         Runtime {
+            sim_pool: SimPool::new(
+                pool.variant(),
+                pool.num_tiles().clamp(1, Self::MAX_SIM_WORKERS),
+            ),
             pool,
             dispatcher: Dispatcher::default(),
             cache: KernelCache::new(Self::DEFAULT_CACHE_CAPACITY)
@@ -1174,9 +1269,10 @@ impl Runtime {
         self.run_serve(Ingest::Stream(ingest_rx), Some((feed, ingest_tx)))
     }
 
-    /// The shared serve body: resets per-serve state, spins up the sim
-    /// worker pool (and the feeder thread for streaming serves), runs the
-    /// event loop over `ingest` and folds the output into a report.
+    /// The shared serve body: resets per-serve state, opens the serve's
+    /// results over the persistent sim-worker pool (and spawns the feeder
+    /// thread for streaming serves), runs the event loop over `ingest` and
+    /// folds the output into a report.
     fn run_serve<F>(
         &mut self,
         ingest: Ingest,
@@ -1190,24 +1286,16 @@ impl Runtime {
         let cache_before = self.cache.stats();
         let memo_before = self.sim_memo.stats();
 
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Result<SimRun, SimError>)>();
-        let workers = self.pool.num_tiles().clamp(1, Self::MAX_SIM_WORKERS);
-        let variant = self.pool.variant();
-        // One job channel per worker: the event loop deals jobs round-robin,
-        // so workers never contend on a shared receiver lock.
-        let (job_txs, job_rxs): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| mpsc::channel::<SimJob>()).unzip();
-
-        let output = thread::scope(|scope| {
-            if let Some((feed, ingest_tx)) = feed {
+        let sim = SimResults::new(&mut self.sim_pool, self.sim_memo.capacity() > 0);
+        // `ingest` and `sim` move into the loop, so returning (success or
+        // error) disconnects the feeder and drops the serve's reply channel.
+        let output = match feed {
+            Some((feed, ingest_tx)) => thread::scope(|scope| {
                 scope.spawn(move || feed(Submitter::new(ingest_tx)));
-            }
-            spawn_sim_workers(scope, variant, job_rxs, result_tx);
-            // `ingest` and the job senders move into the loop so that
-            // returning (success or error) disconnects the feeder and the
-            // workers and lets the scope join them.
-            self.event_loop(ingest, job_txs, &result_rx)
-        })?;
+                self.event_loop(ingest, sim)
+            }),
+            None => self.event_loop(ingest, sim),
+        }?;
 
         let delta = |after: CacheStats, before: CacheStats| CacheStats {
             hits: after.hits - before.hits,
@@ -1252,8 +1340,7 @@ impl Runtime {
     fn event_loop(
         &mut self,
         mut ingest: Ingest,
-        jobs: Vec<mpsc::Sender<SimJob>>,
-        results: &mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
+        sim: SimResults,
     ) -> Result<LoopOutput, RuntimeError> {
         let mut ctx = self.prep_context()?;
         let tiles = self.pool.num_tiles();
@@ -1271,7 +1358,7 @@ impl Runtime {
             events: EventQueue::new(),
             outcome_slots: Vec::new(),
             rejected: Vec::new(),
-            sim: SimResults::new(results, jobs.len(), self.sim_memo.capacity() > 0),
+            sim,
             batcher: Batcher::new(self.batching, tiles),
             peak_queue_depth: 0,
             queue_area_us: 0.0,
@@ -1402,7 +1489,7 @@ impl Runtime {
                     // spawning a job on the worker pool. The loop blocks for
                     // the cycle count only when a tile is about to run it.
                     let memo = state.profiler.begin();
-                    let sourced = state.sim.source(index, info, &mut self.sim_memo, &jobs);
+                    let sourced = state.sim.source(index, info, &mut self.sim_memo);
                     state.profiler.end(obs::Stage::Memo, memo);
                     if state.recorder.enabled() {
                         match sourced {
@@ -1507,7 +1594,7 @@ impl Runtime {
         &mut self,
         tile: usize,
         intake: &[InFlight],
-        state: &mut OnlineState<'_>,
+        state: &mut OnlineState,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
         let resident = self.pool.states()[tile].resident;
@@ -1590,7 +1677,7 @@ impl Runtime {
         tile: usize,
         index: usize,
         intake: &[InFlight],
-        state: &mut OnlineState<'_>,
+        state: &mut OnlineState,
         from_queue: Option<(f64, Option<KernelKey>)>,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
@@ -2191,6 +2278,43 @@ mod tests {
             runtime.serve(vec![good, bad]),
             Err(RuntimeError::Sim(_))
         ));
+    }
+
+    #[test]
+    fn the_sim_pool_spawns_at_the_first_serve_only_and_joins_on_drop() {
+        let idle = Runtime::new(FuVariant::V4, 64).unwrap();
+        let counts = idle.sim_pool.counts();
+        drop(idle);
+        assert_eq!(counts.spawned_live(), (0, 0), "a runtime that never serves");
+
+        for (tiles, workers) in [(3, 3), (64, Runtime::MAX_SIM_WORKERS)] {
+            let mut runtime = Runtime::new(FuVariant::V4, tiles).unwrap();
+            let counts = runtime.sim_pool.counts();
+            for _ in 0..4 {
+                runtime.serve(benchmark_trace(8, 4)).unwrap();
+            }
+            for _ in 0..3 {
+                runtime
+                    .serve_stream(|submitter| {
+                        for request in benchmark_trace(8, 4) {
+                            submitter.submit(request).unwrap();
+                        }
+                    })
+                    .unwrap();
+            }
+            // A failed serve keeps the pool too.
+            let mut stale = benchmark_trace(3, 4);
+            stale[2].arrival_us = 0.5;
+            assert!(runtime.serve(stale).is_err());
+            runtime.serve(benchmark_trace(8, 4)).unwrap();
+            assert_eq!(counts.spawned_live(), (workers, workers));
+            drop(runtime);
+            assert_eq!(
+                counts.spawned_live(),
+                (workers, 0),
+                "drop joins every worker"
+            );
+        }
     }
 
     #[test]
